@@ -129,6 +129,9 @@ pub struct CacheStats {
     pub solve_hits: u64,
     /// Max-entropy group solves that ran the solver.
     pub solve_misses: u64,
+    /// Of those, the solves that stopped at the iteration cap instead of
+    /// the tolerance.
+    pub solve_capped: u64,
 }
 
 impl CacheStats {

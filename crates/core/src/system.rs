@@ -25,9 +25,11 @@ use crate::UdiError;
 ///
 /// `Clone` copies the engine's artifacts and snapshots the plan cache (the
 /// plans themselves are shared `Arc`s); telemetry sinks stay shared — see
-/// [`SetupEngine`]'s `Clone` notes. This is what makes the serve layer's
-/// clone-mutate-publish refresh cheap: the clone starts with every warm
-/// cache the original had.
+/// [`SetupEngine`]'s `Clone` notes. The serve layer's clone-mutate-publish
+/// refresh pays for this copy on every publish, in exchange for a clone
+/// that starts with every warm cache the original had. At 817 Car sources
+/// the copy takes ≈56 ms (`system.clone_ms`, 2-core host); it took
+/// ≈463 ms while each mapping was a map of sets.
 #[derive(Debug, Clone)]
 pub struct UdiSystem {
     engine: SetupEngine,

@@ -58,8 +58,13 @@ pub struct SolveCache {
     entries: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Telemetry: `maxent.solve.hit`/`maxent.solve.miss` counters plus
-    /// per-fresh-solve `maxent.iterations`/`maxent.residual` observations.
+    /// Fresh solves that stopped at `max_iterations` rather than at the
+    /// tolerance (their residual was still acceptable, or they would have
+    /// failed instead).
+    capped: AtomicU64,
+    /// Telemetry: `maxent.solve.hit`/`maxent.solve.miss`/`maxent.capped`
+    /// counters plus per-fresh-solve `maxent.iterations`/`maxent.residual`
+    /// observations.
     /// Disabled by default; the hit/miss atomics above stay authoritative
     /// regardless.
     recorder: Recorder,
@@ -93,6 +98,7 @@ impl Clone for SolveCache {
             map: Mutex::new(map),
             hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
             misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
+            capped: AtomicU64::new(self.capped.load(Ordering::Relaxed)),
             recorder: self.recorder.clone(),
         }
     }
@@ -118,6 +124,11 @@ impl SolveCache {
     /// Number of group solves that ran the enumerator + solver.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Number of fresh group solves that reached the iteration cap.
+    pub fn capped(&self) -> u64 {
+        self.capped.load(Ordering::Relaxed)
     }
 
     /// Number of distinct canonical instances stored. Reads the atomic
@@ -164,6 +175,10 @@ impl SolveCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.recorder.count("maxent.solve.miss", 1);
         let (matchings, sol) = solve_group_fresh(local, config)?;
+        if sol.iterations >= config.max_iterations {
+            self.capped.fetch_add(1, Ordering::Relaxed);
+            self.recorder.count("maxent.capped", 1);
+        }
         if self.recorder.is_enabled() {
             self.recorder
                 .observe("maxent.iterations", sol.iterations as f64);
@@ -323,6 +338,41 @@ mod tests {
         assert_eq!(iters.count(), 1, "one fresh solve observed");
         assert!(iters.min().unwrap() >= 1.0);
         assert_eq!(sink.histogram("maxent.residual").count(), 1);
+    }
+
+    #[test]
+    fn solves_stopped_by_the_iteration_cap_are_counted() {
+        use std::sync::Arc;
+        use udi_obs::MemorySink;
+        // Two non-isomorphic groups and an isomorphic copy of the first:
+        // two fresh solves, one hit.
+        let set = cs(&[
+            (0, 0, 0.4),
+            (0, 1, 0.3),
+            (3, 3, 0.6),
+            (5, 5, 0.4),
+            (5, 6, 0.3),
+        ]);
+        let capped_cfg = MaxEntConfig {
+            max_iterations: 1,
+            acceptable_residual: f64::INFINITY,
+            ..MaxEntConfig::default()
+        };
+        let sink = Arc::new(MemorySink::new());
+        let mut cache = SolveCache::new();
+        cache.set_recorder(Recorder::new(sink.clone()));
+        solve_correspondences_cached(&set, &capped_cfg, Some(&cache)).unwrap();
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.capped(), 2, "both fresh solves hit the cap");
+        assert_eq!(sink.counter_total("maxent.capped"), 2);
+        assert_eq!(cache.clone().capped(), 2, "clones carry the tally");
+
+        // A solve that meets the tolerance is not counted: weight 0.5 on a
+        // lone edge is the uniform start point.
+        let cache = SolveCache::new();
+        solve_correspondences_cached(&cs(&[(0, 0, 0.5)]), &capped_cfg, Some(&cache)).unwrap();
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.capped(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use udi_store::{Row, Table, Value};
 
-use crate::ast::Predicate;
+use crate::ast::{quote_ident, write_where, Predicate};
 use crate::exec::Binding;
 
 /// An aggregate function.
@@ -98,31 +98,31 @@ impl AggregateQuery {
 }
 
 impl std::fmt::Display for AggregateQuery {
+    /// Renders text that [`crate::parse_aggregate_query`] reads back as an
+    /// equal query (see [`crate::Query`]'s `Display`).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut items: Vec<String> = self.group_by.clone();
+        let groups: Vec<String> = self
+            .group_by
+            .iter()
+            .map(|g| quote_ident(g, false))
+            .collect();
+        let mut items = groups.clone();
         for a in &self.aggregates {
-            match &a.attribute {
-                Some(attr) => items.push(format!("{}({attr})", a.func.name())),
-                None => items.push(format!("{}(*)", a.func.name())),
-            }
+            let arg = a
+                .attribute
+                .as_deref()
+                .map_or_else(|| "*".to_owned(), |attr| quote_ident(attr, false));
+            items.push(format!("{}({arg})", a.func.name()));
         }
-        write!(f, "SELECT {} FROM {}", items.join(", "), self.from)?;
-        if !self.predicates.is_empty() {
-            let preds: Vec<String> = self
-                .predicates
-                .iter()
-                .map(|p| {
-                    let rhs = match &p.value {
-                        Value::Text(s) => format!("'{s}'"),
-                        v => v.to_string(),
-                    };
-                    format!("{} {} {}", p.attribute, p.op.symbol(), rhs)
-                })
-                .collect();
-            write!(f, " WHERE {}", preds.join(" AND "))?;
-        }
-        if !self.group_by.is_empty() {
-            write!(f, " GROUP BY {}", self.group_by.join(", "))?;
+        write!(
+            f,
+            "SELECT {} FROM {}",
+            items.join(", "),
+            quote_ident(&self.from, false)
+        )?;
+        write_where(f, &self.predicates)?;
+        if !groups.is_empty() {
+            write!(f, " GROUP BY {}", groups.join(", "))?;
         }
         Ok(())
     }

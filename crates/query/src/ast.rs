@@ -133,24 +133,61 @@ impl Query {
 }
 
 impl std::fmt::Display for Query {
+    /// Renders text that [`crate::parse_query`] reads back as an equal
+    /// query: identifiers are quoted when the bare grammar would split
+    /// them, and `'` inside text literals is doubled.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SELECT {} FROM {}", self.select.join(", "), self.from)?;
-        if !self.predicates.is_empty() {
-            let preds: Vec<String> = self
-                .predicates
-                .iter()
-                .map(|p| {
-                    let rhs = match &p.value {
-                        Value::Text(s) => format!("'{s}'"),
-                        v => v.to_string(),
-                    };
-                    format!("{} {} {}", p.attribute, p.op.symbol(), rhs)
-                })
-                .collect();
-            write!(f, " WHERE {}", preds.join(" AND "))?;
-        }
-        Ok(())
+        let select: Vec<String> = self.select.iter().map(|a| quote_ident(a, true)).collect();
+        write!(
+            f,
+            "SELECT {} FROM {}",
+            select.join(", "),
+            quote_ident(&self.from, true)
+        )?;
+        write_where(f, &self.predicates)
     }
+}
+
+/// An identifier as the parser reads it back: bare when every character
+/// is a bare identifier character, otherwise `"`-quoted (`` ` ``-quoted if
+/// the name itself contains `"`; a name with both quote characters has no
+/// spelling the grammar reads back). Parentheses are bare identifier
+/// characters only outside aggregate queries, where `count(x)` would read
+/// as a call; `paren_ok` says which grammar applies.
+pub(crate) fn quote_ident(name: &str, paren_ok: bool) -> String {
+    let bare = !name.is_empty()
+        && name
+            .chars()
+            .all(|c| c.is_alphanumeric() || "_$./#-".contains(c) || (paren_ok && "()".contains(c)));
+    if bare {
+        name.to_owned()
+    } else if name.contains('"') {
+        format!("`{name}`")
+    } else {
+        format!("\"{name}\"")
+    }
+}
+
+/// Renders ` WHERE p1 AND p2 ...` (nothing for no predicates), with text
+/// literals single-quoted and embedded quotes doubled.
+pub(crate) fn write_where(
+    f: &mut std::fmt::Formatter<'_>,
+    predicates: &[Predicate],
+) -> std::fmt::Result {
+    for (i, p) in predicates.iter().enumerate() {
+        let rhs = match &p.value {
+            Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
+            v => v.to_string(),
+        };
+        let sep = if i == 0 { " WHERE" } else { " AND" };
+        write!(
+            f,
+            "{sep} {} {} {rhs}",
+            quote_ident(&p.attribute, true),
+            p.op.symbol()
+        )?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -212,5 +249,19 @@ mod tests {
             vec![Predicate::new("year", CompareOp::Ge, 1990_i64)],
         );
         assert_eq!(q.to_string(), "SELECT name FROM T WHERE year >= 1990");
+    }
+
+    #[test]
+    fn display_quotes_messy_identifiers_and_escapes_literals() {
+        let q = Query::new(
+            ["home phone", "author(s)", "say \"hi\""],
+            vec![Predicate::new("last name", CompareOp::Eq, "O'Brien")],
+        );
+        assert_eq!(
+            q.to_string(),
+            "SELECT \"home phone\", author(s), `say \"hi\"` FROM T \
+             WHERE \"last name\" = 'O''Brien'"
+        );
+        assert_eq!(crate::parse_query(&q.to_string()).unwrap(), q);
     }
 }

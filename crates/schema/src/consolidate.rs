@@ -98,9 +98,10 @@ impl<'a> Consolidator<'a> {
             "one p-mapping per possible schema"
         );
         let mut merged: BTreeMap<Mapping, f64> = BTreeMap::new();
+        // One buffer for every rewritten mapping of the row.
+        let mut scratch: Vec<(AttrId, usize)> = Vec::new();
         for (i, ((_, p_schema), pm)) in self.pmed.schemas().iter().zip(pmappings).enumerate() {
             for (m, p_map) in pm.mappings() {
-                let mut rewritten = Mapping::empty();
                 for (a, big_idx) in m.correspondences() {
                     let refined = self
                         .refinements
@@ -108,11 +109,9 @@ impl<'a> Consolidator<'a> {
                         .and_then(|r| r.get(big_idx))
                         .map(Vec::as_slice)
                         .unwrap_or(&[]);
-                    for &j in refined {
-                        rewritten.insert(a, j);
-                    }
+                    scratch.extend(refined.iter().map(|&j| (a, j)));
                 }
-                *merged.entry(rewritten).or_insert(0.0) += p_map * p_schema;
+                *merged.entry(Mapping::build(&mut scratch)).or_insert(0.0) += p_map * p_schema;
             }
         }
         let mappings: Vec<(Mapping, f64)> =

@@ -410,76 +410,171 @@ impl PMedSchema {
 /// mediated schema: each source attribute maps to a set of mediated
 /// attributes (cluster indices); each mediated attribute corresponds to at
 /// most one source attribute.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// Stored flat: one boxed slice of `(source attr, mediated index)`
+/// correspondences sorted by attribute then index, without duplicates. A
+/// mapping is one heap block however many attributes it maps, so cloning
+/// and dropping the hundreds of thousands a system holds is a memcpy and a
+/// free each.
+///
+/// `Ord` is not the slice's lexicographic order. It groups the slice by
+/// source attribute and compares the groups `(attr, targets)` in turn, a
+/// group whose targets are a proper prefix of the other's sorting first —
+/// the order of a map from attribute to target set. Consolidated p-mappings
+/// are emitted in this order, so it is part of the answer byte-identity
+/// contract.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(from = "MappingRepr", into = "MappingRepr")]
 pub struct Mapping {
+    pairs: Box<[(AttrId, u32)]>,
+}
+
+/// Wire format of [`Mapping`] (the map-of-sets layout, kept so earlier
+/// snapshots load).
+#[derive(Serialize, Deserialize)]
+#[serde(rename = "Mapping")]
+struct MappingRepr {
     assignments: BTreeMap<AttrId, BTreeSet<usize>>,
+}
+
+impl From<MappingRepr> for Mapping {
+    fn from(repr: MappingRepr) -> Mapping {
+        // Map-then-set iteration is already (attr, index) order.
+        let pairs = repr
+            .assignments
+            .into_iter()
+            .flat_map(|(a, ts)| ts.into_iter().map(move |j| (a, target_index(j))))
+            .collect();
+        Mapping { pairs }
+    }
+}
+
+impl From<Mapping> for MappingRepr {
+    fn from(m: Mapping) -> MappingRepr {
+        let mut assignments: BTreeMap<AttrId, BTreeSet<usize>> = BTreeMap::new();
+        for (a, j) in m.correspondences() {
+            assignments.entry(a).or_default().insert(j);
+        }
+        MappingRepr { assignments }
+    }
+}
+
+/// A mediated index as stored. Indices are cluster positions in one
+/// mediated schema, far below `u32::MAX`.
+fn target_index(j: usize) -> u32 {
+    assert!(
+        j <= u32::MAX as usize,
+        "mediated attribute index {j} out of range"
+    );
+    j as u32
+}
+
+impl PartialOrd for Mapping {
+    fn partial_cmp(&self, other: &Mapping) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Mapping {
+    fn cmp(&self, other: &Mapping) -> std::cmp::Ordering {
+        let same_attr = |x: &(AttrId, u32), y: &(AttrId, u32)| x.0 == y.0;
+        // Within two groups under comparison the attributes either differ
+        // at the first pair or agree throughout, so comparing the group
+        // slices compares `(attr, targets)`.
+        self.pairs
+            .chunk_by(same_attr)
+            .cmp(other.pairs.chunk_by(same_attr))
+    }
 }
 
 impl Mapping {
     /// The empty mapping.
     pub fn empty() -> Mapping {
         Mapping {
-            assignments: BTreeMap::new(),
+            pairs: Box::default(),
         }
     }
 
-    /// One-to-one mapping from `(source attr, mediated index)` pairs.
-    /// Panics if a source attribute or mediated index repeats.
+    /// Mapping from `(source attr, mediated index)` pairs, in any order.
+    /// Panics if a mediated index repeats with two source attributes.
     pub fn one_to_one<I>(pairs: I) -> Mapping
     where
         I: IntoIterator<Item = (AttrId, usize)>,
     {
-        let mut m = Mapping::empty();
-        for (a, j) in pairs {
-            m.insert(a, j);
+        Mapping::build(&mut pairs.into_iter().collect())
+    }
+
+    /// Mapping from the `(source attr, mediated index)` correspondences in
+    /// `buf`, in any order and possibly repeated. `buf` is sorted in place
+    /// and left empty, so a caller building many mappings reuses one
+    /// allocation. Panics if a mediated index repeats with two source
+    /// attributes.
+    pub fn build(buf: &mut Vec<(AttrId, usize)>) -> Mapping {
+        buf.sort_unstable();
+        buf.dedup();
+        for (i, &(a, j)) in buf.iter().enumerate() {
+            let clash = buf
+                .get(..i)
+                .is_some_and(|head| head.iter().any(|&(b, k)| k == j && b != a));
+            assert!(
+                !clash,
+                "mediated attribute {j} already corresponds to a different source attribute"
+            );
         }
-        m
+        let pairs = buf.iter().map(|&(a, j)| (a, target_index(j))).collect();
+        buf.clear();
+        Mapping { pairs }
     }
 
     /// Add a correspondence `(a → j)`, preserving the invariant that a
     /// mediated attribute has at most one source attribute.
     pub fn insert(&mut self, a: AttrId, j: usize) {
-        assert!(
-            self.source_of(j).is_none_or(|s| s == a),
-            "mediated attribute {j} already corresponds to a different source attribute"
-        );
-        self.assignments.entry(a).or_default().insert(j);
+        let mut buf: Vec<(AttrId, usize)> = self.correspondences().collect();
+        buf.push((a, j));
+        *self = Mapping::build(&mut buf);
     }
 
-    /// The mediated attributes `a` maps to.
-    pub fn targets_of(&self, a: AttrId) -> Option<&BTreeSet<usize>> {
-        self.assignments.get(&a)
+    /// The mediated attributes `a` maps to, ascending (none if `a` is
+    /// unmapped).
+    pub fn targets_of(&self, a: AttrId) -> impl Iterator<Item = usize> + '_ {
+        let lo = self.pairs.partition_point(|&(b, _)| b < a);
+        let hi = self.pairs.partition_point(|&(b, _)| b <= a);
+        self.pairs
+            .get(lo..hi)
+            .unwrap_or(&[])
+            .iter()
+            .map(|&(_, j)| j as usize)
     }
 
     /// The unique source attribute corresponding to mediated attribute `j`.
     pub fn source_of(&self, j: usize) -> Option<AttrId> {
-        self.assignments
+        self.pairs
             .iter()
-            .find(|(_, targets)| targets.contains(&j))
-            .map(|(&a, _)| a)
+            .find(|&&(_, t)| t as usize == j)
+            .map(|&(a, _)| a)
     }
 
-    /// Iterate `(source attr, mediated index)` correspondences.
+    /// Iterate `(source attr, mediated index)` correspondences, ascending.
     pub fn correspondences(&self) -> impl Iterator<Item = (AttrId, usize)> + '_ {
-        self.assignments
-            .iter()
-            .flat_map(|(&a, ts)| ts.iter().map(move |&j| (a, j)))
+        self.pairs.iter().map(|&(a, j)| (a, j as usize))
     }
 
     /// Number of correspondences.
     pub fn len(&self) -> usize {
-        self.assignments.values().map(BTreeSet::len).sum()
+        self.pairs.len()
     }
 
     /// Whether this is the empty mapping.
     pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty()
+        self.pairs.is_empty()
     }
 
     /// Whether every source attribute maps to exactly one mediated
     /// attribute (Definition 3.2's one-to-one case).
     pub fn is_one_to_one(&self) -> bool {
-        self.assignments.values().all(|ts| ts.len() == 1)
+        self.pairs
+            .windows(2)
+            .all(|w| matches!(w, [x, y] if x.0 != y.0))
     }
 }
 
@@ -503,13 +598,17 @@ impl PMapping {
             (total - 1.0).abs() < 1e-6,
             "probabilities sum to {total}, not 1"
         );
-        for (i, (m, p)) in mappings.iter().enumerate() {
+        for (_, p) in &mappings {
             assert!(*p > 0.0 && *p <= 1.0 + 1e-9, "probability {p} out of range");
-            let dup = mappings
-                .get(..i)
-                .is_some_and(|head| head.iter().any(|(m2, _)| m2 == m));
-            assert!(!dup, "duplicate mapping");
         }
+        // Duplicates sort next to each other under any total order
+        // consistent with `Eq`; the flat slice order is the cheapest.
+        let mut keys: Vec<&Mapping> = mappings.iter().map(|(m, _)| m).collect();
+        keys.sort_unstable_by(|x, y| x.pairs.cmp(&y.pairs));
+        let dup = keys
+            .windows(2)
+            .any(|w| matches!(w, [x, y] if x.pairs == y.pairs));
+        assert!(!dup, "duplicate mapping");
         PMapping { mappings }
     }
 
@@ -683,14 +782,8 @@ mod tests {
         assert!(m.is_one_to_one());
         assert_eq!(m.source_of(0), Some(AttrId(5)));
         assert_eq!(m.source_of(1), None);
-        assert_eq!(
-            m.targets_of(AttrId(7))
-                .unwrap()
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![2]
-        );
+        assert_eq!(m.targets_of(AttrId(7)).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(m.targets_of(AttrId(6)).count(), 0);
         assert_eq!(m.len(), 2);
     }
 
@@ -727,6 +820,20 @@ mod tests {
     fn pmapping_rejects_duplicates() {
         let a = Mapping::empty();
         PMapping::new(vec![(a.clone(), 0.5), (a, 0.5)]);
+    }
+
+    #[test]
+    fn mapping_build_reuses_and_canonicalizes_the_buffer() {
+        let mut buf = vec![(AttrId(2), 1), (AttrId(1), 0), (AttrId(2), 1)];
+        let m = Mapping::build(&mut buf);
+        assert!(buf.is_empty());
+        assert_eq!(m, Mapping::one_to_one([(AttrId(1), 0), (AttrId(2), 1)]));
+        assert_eq!(
+            MappingRepr::from(m.clone()).assignments.len(),
+            2,
+            "wire shape groups by attribute"
+        );
+        assert_eq!(Mapping::from(MappingRepr::from(m.clone())), m);
     }
 
     #[test]

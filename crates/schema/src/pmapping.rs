@@ -4,7 +4,7 @@
 use udi_maxent::{solve_correspondences_cached, CorrespondenceSet, MaxEntError, SolveCache};
 
 use crate::correspondence::{weighted_correspondences, PairSimilarity};
-use crate::model::{Mapping, MediatedSchema, PMapping, SourceSchema};
+use crate::model::{AttrId, Mapping, MediatedSchema, PMapping, SourceSchema};
 use crate::UdiParams;
 
 /// Generate the maximum-entropy p-mapping between `source` and `med`:
@@ -48,14 +48,17 @@ pub fn generate_pmapping_cached(
     let list = corrs.correspondences();
     let mut mappings: Vec<(Mapping, f64)> = Vec::with_capacity(joint.len());
     let mut total = 0.0;
+    // One buffer for every mapping of the p-mapping.
+    let mut scratch: Vec<(AttrId, usize)> = Vec::new();
     for (matching, p) in joint {
         if p <= 1e-12 {
             continue;
         }
-        let mapping = Mapping::one_to_one(matching.iter().filter_map(|&c| {
+        scratch.extend(matching.iter().filter_map(|&c| {
             let corr = list.get(c)?;
             Some((source.attrs.get(corr.source).copied()?, corr.target))
         }));
+        let mapping = Mapping::build(&mut scratch);
         total += p;
         mappings.push((mapping, p));
     }
@@ -73,7 +76,7 @@ pub fn generate_pmapping_cached(
 mod tests {
     use super::*;
     use crate::correspondence::SimilarityMatrix;
-    use crate::model::{AttrId, SchemaSet};
+    use crate::model::SchemaSet;
 
     /// Two-source fixture with an exactly controllable similarity measure.
     fn fixture() -> (SchemaSet, UdiParams) {
@@ -184,13 +187,13 @@ mod tests {
         let p_h: f64 = pm
             .mappings()
             .iter()
-            .filter(|(m, _)| m.targets_of(phone).is_some_and(|t| t.contains(&0)))
+            .filter(|(m, _)| m.targets_of(phone).any(|t| t == 0))
             .map(|(_, p)| p)
             .sum();
         let p_o: f64 = pm
             .mappings()
             .iter()
-            .filter(|(m, _)| m.targets_of(phone).is_some_and(|t| t.contains(&1)))
+            .filter(|(m, _)| m.targets_of(phone).any(|t| t == 1))
             .map(|(_, p)| p)
             .sum();
         assert!((p_h - 0.5).abs() < 1e-4, "p(phone→hPhone) = {p_h}");

@@ -3,8 +3,52 @@
 
 use proptest::prelude::*;
 
-use udi::query::{parse_query, AnswerSet, AnswerTuple, CompareOp, Predicate, Query};
+use std::sync::OnceLock;
+
+use udi::datagen::{generate, Domain, GenConfig, GeneratedDomain};
+use udi::eval::generate_workload;
+use udi::query::{
+    parse_aggregate_query, parse_query, AggFunc, Aggregate, AggregateQuery, AnswerSet, AnswerTuple,
+    CompareOp, Predicate, Query,
+};
 use udi::store::{SourceId, Value};
+
+/// One small corpus per paper domain, generated once for all cases.
+fn domains() -> &'static [GeneratedDomain] {
+    static DOMAINS: OnceLock<Vec<GeneratedDomain>> = OnceLock::new();
+    DOMAINS.get_or_init(|| {
+        Domain::all()
+            .into_iter()
+            .map(|d| {
+                let cfg = GenConfig {
+                    n_sources: Some(40),
+                    ..GenConfig::default()
+                };
+                generate(d, &cfg)
+            })
+            .collect()
+    })
+}
+
+/// A grouped aggregate over the same attributes and predicates as `q`.
+fn aggregate_of(q: &Query) -> AggregateQuery {
+    let last = q.select.last().cloned();
+    AggregateQuery {
+        group_by: q.select.iter().take(1).cloned().collect(),
+        aggregates: vec![
+            Aggregate {
+                func: AggFunc::Count,
+                attribute: None,
+            },
+            Aggregate {
+                func: AggFunc::Max,
+                attribute: last,
+            },
+        ],
+        predicates: q.predicates.clone(),
+        from: q.from.clone(),
+    }
+}
 
 /// Strategy: queries over a safe identifier/value alphabet.
 fn queries() -> impl Strategy<Value = Query> {
@@ -50,6 +94,25 @@ proptest! {
             panic!("failed to reparse {rendered:?}: {e}")
         });
         prop_assert_eq!(parsed, q);
+    }
+
+    /// `Display` round-trips the workload queries of every paper domain,
+    /// whose labels carry spaces, parentheses and quotes — the text the
+    /// plan cache keys on must name the query it was rendered from.
+    #[test]
+    fn workload_queries_round_trip_display(domain in 0usize..5, seed in any::<u64>()) {
+        let gen = domains().get(domain).expect("five domains");
+        for q in generate_workload(gen, 20, seed) {
+            let rendered = q.to_string();
+            let parsed = parse_query(&rendered)
+                .unwrap_or_else(|e| panic!("failed to reparse {rendered:?}: {e}"));
+            prop_assert_eq!(parsed, q.clone());
+            let agg = aggregate_of(&q);
+            let rendered = agg.to_string();
+            let parsed = parse_aggregate_query(&rendered)
+                .unwrap_or_else(|e| panic!("failed to reparse {rendered:?}: {e}"));
+            prop_assert_eq!(parsed, agg);
+        }
     }
 
     /// Combined (deduplicated, disjunction) answers: probabilities stay in
