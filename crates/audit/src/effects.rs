@@ -32,9 +32,10 @@
 //!    everywhere) and monotone: adding a call edge can only grow
 //!    summaries, never shrink them.
 //!
-//! The `hot-path-cert` pass ([`crate::passes`]) layers the `audit.toml`
-//! `[effects]` budgets on top and reports certificate failures with full
-//! call chains, in the same shape as the determinism certificate.
+//! The `hot-path-cert` pass (in the crate's `passes` module) layers the
+//! `audit.toml` `[effects]` budgets on top and reports certificate
+//! failures with full call chains, in the same shape as the determinism
+//! certificate.
 
 use std::collections::BTreeSet;
 use std::ops::Range;

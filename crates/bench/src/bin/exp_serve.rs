@@ -19,7 +19,8 @@
 //!
 //! Results are persisted to `results/BENCH_qps.json` (override with
 //! `--out PATH`). `--smoke` shrinks the corpus, client count, and measure
-//! window to CI size. `--trace out.jsonl` records the tenant's setup trace.
+//! window to CI size. `--trace out.jsonl` records the tenant's setup
+//! trace and the server's request and publish spans.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -103,7 +104,10 @@ fn main() {
     .expect("setup");
     println!("setup in {:.1?}", t0.elapsed());
 
-    let state = ServeState::new();
+    let state = match obs.sink() {
+        Some(sink) => ServeState::with_sink(sink),
+        None => ServeState::new(),
+    };
     state.register_tenant("bench", system);
     let server = Server::start(state.clone(), ServerConfig::default()).expect("start server");
     let addr = server.addr();

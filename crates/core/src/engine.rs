@@ -19,9 +19,9 @@
 //! | similarity graph              | recomputed each refresh (cheap: cache lookups) | — |
 //! | enumerated mediated schemas   | `schemas_raw` + graph signature | any change to the graph's nodes/edges/weights/kinds |
 //! | schema probabilities          | recomputed each refresh (Algorithm 2 is linear) | — |
-//! | per-(source, schema) p-mappings | `rows[source][schema]`    | source marked dirty, or the schema's cluster content changed |
+//! | per-(source, schema) p-mappings | `rows[source][schema]`, one `Arc` per cell | source marked dirty, or the schema's cluster content changed |
 //! | per-group max-entropy solves  | [`SolveCache`] (canonical form) | never — keys are content-addressed |
-//! | consolidated schema + mappings | recomputed each refresh that moved anything upstream: ≈18 ms per Car publish at 817 sources (≈155 ms before mappings were flat slices; `engine.consolidate_ms`, 2-core host) | — |
+//! | consolidated schema + mappings | `cons_rows`, one shared `Arc<[PMapping]>`: rebuilt whole by each refresh that moved anything upstream (≈18 ms per Car publish at 817 sources, ≈155 ms before mappings were flat slices; `engine.consolidate_ms`, 2-core host), reused whole otherwise | — |
 //!
 //! Why the reuse is sound: a p-mapping for `(source, mediated schema)`
 //! depends only on the source's attribute list, the schema's cluster
@@ -30,8 +30,12 @@
 //! `sim_cache`, and mediated schemas are compared by value — so an
 //! unchanged `(source, schema-content)` pair under unchanged similarities
 //! must yield the identical mapping, and we reuse it without re-solving.
+//!
+//! Reuse is structural sharing: a reused cell is an `Arc` clone of the old
+//! one, so a refresh never copies a mapping it did not recompute, and a
+//! cloned engine (a serving snapshot) shares every cell with its original.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 use udi_obs::{CounterSink, FanoutSink, Recorder, Sink, Stopwatch};
@@ -54,10 +58,9 @@ use crate::UdiError;
 /// is skipped.
 type GraphSignature = (Vec<AttrId>, Vec<(AttrId, AttrId, u64, bool)>);
 
-/// A source's previous p-mapping row, taken out of the engine for moving:
-/// `None` if the source was dirty, otherwise one `Option<PMapping>` slot per
-/// old schema, emptied as reuse claims each column.
-type TakenRow = Option<Vec<Option<PMapping>>>;
+/// One source's stage-3 work order: per new schema, the shared cell to
+/// reuse, or `None` to compute the mapping.
+type RowPlan = Vec<Option<Arc<PMapping>>>;
 
 fn signature(graph: &SimilarityGraph) -> GraphSignature {
     (
@@ -79,9 +82,13 @@ fn signature(graph: &SimilarityGraph) -> GraphSignature {
 /// [`apply_feedback`](SetupEngine::apply_feedback)) only *mark* work; the
 /// actual recomputation happens in the next [`refresh`](SetupEngine::refresh).
 ///
-/// `Clone` produces an independent engine over copied artifacts, with two
-/// deliberate shares: the `stats` counter aggregate (an `Arc`) and the
-/// recorder keep pointing at the original's sinks, so a cloned snapshot's
+/// `Clone` produces an independent engine that shares its bulky artifacts
+/// with the original: catalog tables (see [`Catalog`]), per-(source,
+/// schema) p-mapping cells and the consolidated rows all sit behind `Arc`,
+/// so a clone costs a reference-count bump per source and schema cell,
+/// and nothing is ever mutated through a shared pointer — a mutation on
+/// either side replaces cells, it never edits them. The `stats` counter
+/// aggregate and the recorder are shared too, so a cloned snapshot's
 /// telemetry lands in the same place. The serve layer's clone-on-refresh
 /// path relies on this — it clones the current snapshot, mutates the clone
 /// off to the side, and publishes it atomically.
@@ -116,11 +123,13 @@ pub struct SetupEngine {
     /// of `rows`.
     schema_list: Vec<MediatedSchema>,
     /// Stage 3 artifact: `rows[source][schema]`. `None` marks a source
-    /// whose row must be (re)computed on the next refresh.
-    rows: Vec<Option<Vec<PMapping>>>,
-    /// Stage 4 artifacts.
+    /// whose row must be (re)computed on the next refresh. Cells are shared
+    /// with clones and reused across refreshes by `Arc` clone.
+    rows: Vec<Option<Vec<Arc<PMapping>>>>,
+    /// Stage 4 artifacts. The consolidated rows are rebuilt or reused
+    /// whole, so they share one allocation.
     consolidated: Option<MediatedSchema>,
-    cons_rows: Vec<PMapping>,
+    cons_rows: Arc<[PMapping]>,
     /// Canonical-form memo of per-group max-entropy solves, shared across
     /// the whole catalog and across refreshes.
     solve_cache: SolveCache,
@@ -172,7 +181,7 @@ impl SetupEngine {
             schema_list: Vec::new(),
             rows,
             consolidated: None,
-            cons_rows: Vec::new(),
+            cons_rows: Arc::new([]),
             solve_cache,
             report: SetupReport::default(),
             stats,
@@ -253,7 +262,7 @@ impl SetupEngine {
             pmed.schemas().iter().map(|(m, _)| m.clone()).collect();
         let consolidated = consolidate_schemas(&schema_list);
         let consolidator = Consolidator::new(&pmed, &consolidated);
-        let cons_rows: Vec<PMapping> = pmappings
+        let cons_rows: Arc<[PMapping]> = pmappings
             .iter()
             .map(|per_schema| consolidator.consolidate(per_schema))
             .collect();
@@ -275,7 +284,10 @@ impl SetupEngine {
         };
         engine.schema_list = schema_list;
         engine.pmed = Some(pmed);
-        engine.rows = pmappings.into_iter().map(Some).collect();
+        engine.rows = pmappings
+            .into_iter()
+            .map(|row| Some(row.into_iter().map(Arc::new).collect()))
+            .collect();
         engine.consolidated = Some(consolidated);
         engine.cons_rows = cons_rows;
         Ok(engine)
@@ -356,11 +368,11 @@ impl SetupEngine {
     /// reusing the rest. Idempotent: a refresh with nothing dirty reuses
     /// every row and answers every solve from cache.
     ///
-    /// On error (e.g. a matching-count explosion) the query-facing
-    /// artifacts — p-med-schema, consolidated schema and consolidated
-    /// p-mappings — keep serving the state of the last successful refresh;
-    /// the per-schema p-mapping rows are marked dirty and recomputed by
-    /// the next successful refresh.
+    /// On error (e.g. a matching-count explosion) every query-facing
+    /// artifact — p-med-schema, per-schema and consolidated p-mappings —
+    /// keeps serving the state of the last successful refresh: stage 3
+    /// builds the new rows beside the old ones and commits only on
+    /// success.
     pub fn refresh(&mut self, measure: &(dyn Similarity + Sync)) -> Result<(), UdiError> {
         if self.catalog.source_count() == 0 {
             return Err(UdiError::EmptyCatalog);
@@ -533,23 +545,25 @@ impl SetupEngine {
                 ss.close();
             }
             let matrix = FrozenMatrix::from_entries(self.sim_cache.iter().map(|(&k, &v)| (k, v)));
-            // udi-audit: allow(deterministic-iteration, "reuse-plan index: queried per new schema by key, never iterated")
-            let old_pos: HashMap<&MediatedSchema, usize> = self
-                .schema_list
+            // The old column holding each new schema, if it survived. The
+            // lists hold a few dozen schemas, so a linear scan per new
+            // schema is cheaper than hashing every schema.
+            let old_col: Vec<Option<usize>> = new_list
                 .iter()
-                .enumerate()
-                .map(|(i, m)| (m, i))
+                .map(|m| self.schema_list.iter().position(|old| old == m))
                 .collect();
-            // Per (source, schema): Some(old column) to reuse, None to
-            // compute. Schemas are pairwise distinct, so each old column is
-            // claimed by at most one new column — reused mappings can be
-            // *moved*, not cloned (cloning thousands of surviving rows
-            // costs more than the actual recomputation being avoided).
-            let plan: Vec<Vec<Option<usize>>> = self
+            // Per (source, schema): the cell to reuse, or `None` to
+            // compute. Reuse is an `Arc` clone, so the old rows stay intact
+            // (a failed refresh leaves them serving) and a snapshot that
+            // still holds them keeps sharing every surviving cell.
+            let plan: Vec<RowPlan> = self
                 .rows
                 .iter()
                 .map(|row| match row {
-                    Some(_) => new_list.iter().map(|m| old_pos.get(m).copied()).collect(),
+                    Some(old) => old_col
+                        .iter()
+                        .map(|oj| oj.and_then(|oj| old.get(oj)).cloned())
+                        .collect(),
                     None => vec![None; new_list.len()],
                 })
                 .collect();
@@ -593,14 +607,7 @@ impl SetupEngine {
 
             let sources = self.schema_set.sources();
             let n = sources.len();
-            // Take the old rows out for moving; on error below, the rows
-            // are left all-dirty and the next refresh recomputes them.
-            let mut work: Vec<(usize, TakenRow)> = std::mem::take(&mut self.rows)
-                .into_iter()
-                .map(|row| row.map(|v| v.into_iter().map(Some).collect()))
-                .enumerate()
-                .collect();
-            let plan = &plan;
+            let mut work: Vec<(usize, RowPlan)> = plan.into_iter().enumerate().collect();
             let new_list_ref = &new_list;
             let matrix_ref = &matrix;
             let params_ref = &params;
@@ -608,18 +615,13 @@ impl SetupEngine {
             // Worker threads cannot carry the stage-3 `Span` guard; they
             // clone the recorder and parent their build spans on its id.
             let recorder = self.recorder.clone();
-            let build_row = move |(i, mut old): (usize, TakenRow)| {
-                new_list_ref
-                    .iter()
+            let build_row = move |(i, cells): (usize, RowPlan)| {
+                cells
+                    .into_iter()
+                    .zip(new_list_ref)
                     .enumerate()
-                    .map(|(j, med)| match plan.get(i).and_then(|row| row.get(j)).copied().flatten() {
-                        Some(oj) => old
-                            .as_mut()
-                            .and_then(|row| row.get_mut(oj))
-                            .and_then(Option::take)
-                            .ok_or(UdiError::Internal(
-                                "p-mapping reuse plan pointed at a missing or already-claimed column",
-                            )),
+                    .map(|(j, (cell, med))| match cell {
+                        Some(reused) => Ok(reused),
                         None => match sources.get(i) {
                             Some(source) => {
                                 let mut span =
@@ -633,6 +635,7 @@ impl SetupEngine {
                                     params_ref,
                                     Some(solve_cache),
                                 )
+                                .map(Arc::new)
                                 .map_err(UdiError::from)
                             }
                             None => Err(UdiError::Internal(
@@ -640,9 +643,9 @@ impl SetupEngine {
                             )),
                         },
                     })
-                    .collect::<Result<Vec<PMapping>, UdiError>>()
+                    .collect::<Result<Vec<Arc<PMapping>>, UdiError>>()
             };
-            let built: Result<Vec<Vec<PMapping>>, UdiError> = if self.config.threads <= 1 || n < 2 {
+            let built: Result<Vec<_>, UdiError> = if self.config.threads <= 1 || n < 2 {
                 work.into_iter().map(build_row).collect()
             } else {
                 let n_workers = self.config.threads.min(n);
@@ -657,7 +660,7 @@ impl SetupEngine {
                 // the same order, so the output is identical — partitioning
                 // is a wall-clock knob only.
                 let shard_ranges = self.catalog.shard_ranges();
-                let mut parts: Vec<Vec<(usize, TakenRow)>> = Vec::new();
+                let mut parts: Vec<Vec<(usize, RowPlan)>> = Vec::new();
                 if shard_ranges.len() >= n_workers {
                     let mut acc = 0usize;
                     let mut sizes: Vec<usize> = Vec::new();
@@ -684,24 +687,21 @@ impl SetupEngine {
                         parts.push(work.drain(..take).collect());
                     }
                 }
-                let results: Vec<Result<Vec<Vec<PMapping>>, UdiError>> =
-                    std::thread::scope(|scope| {
-                        let build_row = &build_row;
-                        let handles: Vec<_> = parts
-                            .into_iter()
-                            .map(|part| {
-                                scope.spawn(move || part.into_iter().map(build_row).collect())
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| {
-                                h.join().unwrap_or(Err(UdiError::Internal(
-                                    "a p-mapping worker thread panicked",
-                                )))
-                            })
-                            .collect()
-                    });
+                let results: Vec<Result<Vec<_>, UdiError>> = std::thread::scope(|scope| {
+                    let build_row = &build_row;
+                    let handles: Vec<_> = parts
+                        .into_iter()
+                        .map(|part| scope.spawn(move || part.into_iter().map(build_row).collect()))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| {
+                            h.join().unwrap_or(Err(UdiError::Internal(
+                                "a p-mapping worker thread panicked",
+                            )))
+                        })
+                        .collect()
+                });
                 results
                     .into_iter()
                     .try_fold(Vec::with_capacity(n), |mut all, r| {
@@ -709,13 +709,7 @@ impl SetupEngine {
                         Ok(all)
                     })
             };
-            match built {
-                Ok(rows) => rows,
-                Err(e) => {
-                    self.rows = vec![None; n];
-                    return Err(e);
-                }
-            }
+            built?
         };
         s3.close();
         timings.pmappings = t2.elapsed();
@@ -740,7 +734,7 @@ impl SetupEngine {
             .then(|| self.consolidated.take())
             .flatten();
         let (consolidated, cons_rows) = match reusable {
-            Some(prev) => (prev, std::mem::take(&mut self.cons_rows)),
+            Some(prev) => (prev, Arc::clone(&self.cons_rows)),
             None => {
                 let consolidated = consolidate_schemas(&new_list);
                 let consolidator = Consolidator::new(&pmed, &consolidated);
@@ -767,7 +761,7 @@ impl SetupEngine {
             n_attributes: self.schema_set.vocab().len(),
             n_frequent: nodes.len(),
             n_schemas: pmed.len(),
-            n_mappings: new_rows.iter().flatten().map(PMapping::len).sum(),
+            n_mappings: new_rows.iter().flatten().map(|pm| pm.len()).sum(),
             n_consolidated_mappings: cons_rows.iter().map(PMapping::len).sum(),
             cache: stats,
         };

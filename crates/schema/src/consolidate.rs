@@ -1,6 +1,7 @@
 //! Consolidation of a p-med-schema into a single mediated schema with
 //! consolidated (one-to-many) p-mappings (§6, Algorithm 3, Theorem 6.2).
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use crate::model::{AttrId, Mapping, MediatedSchema, PMapping, PMedSchema};
@@ -90,8 +91,8 @@ impl<'a> Consolidator<'a> {
     }
 
     /// Consolidate one source's per-schema p-mappings (see
-    /// [`consolidate_pmappings`]).
-    pub fn consolidate(&self, pmappings: &[PMapping]) -> PMapping {
+    /// [`consolidate_pmappings`]), held by value or behind shared pointers.
+    pub fn consolidate<P: Borrow<PMapping>>(&self, pmappings: &[P]) -> PMapping {
         assert_eq!(
             self.pmed.len(),
             pmappings.len(),
@@ -101,7 +102,7 @@ impl<'a> Consolidator<'a> {
         // One buffer for every rewritten mapping of the row.
         let mut scratch: Vec<(AttrId, usize)> = Vec::new();
         for (i, ((_, p_schema), pm)) in self.pmed.schemas().iter().zip(pmappings).enumerate() {
-            for (m, p_map) in pm.mappings() {
+            for (m, p_map) in pm.borrow().mappings() {
                 for (a, big_idx) in m.correspondences() {
                     let refined = self
                         .refinements

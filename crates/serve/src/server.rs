@@ -13,6 +13,8 @@
 //! pool: each gets a detached thread so a multi-second snapshot rebuild
 //! cannot sit ahead of reads in the queue. Readers keep answering on the
 //! old snapshot for the whole rebuild and only ever see atomic publishes.
+//! The mutation thread frees the superseded snapshot only after its reply
+//! is written, so the client never waits for that.
 //!
 //! No clocks are read here: latency is the client's to measure (the bench
 //! harness owns the stopwatch), and the serving path stays inside the
@@ -26,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{Builder, JoinHandle};
 
 use crate::proto::{error_response, parse_request, shed_response};
-use crate::state::{handle, ServeState};
+use crate::state::{handle, respond, ServeState};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -288,10 +290,11 @@ fn worker_loop(state: &ServeState, queue: &Arc<JobQueue>) {
                 let spawned = Builder::new()
                     .name("serve-mutate".to_owned())
                     .spawn(move || {
-                        let response = handle(&owned, &req).render();
-                        if write_line(&job.out, &response).is_err() {
+                        let (response, superseded) = respond(&owned, &req);
+                        if write_line(&job.out, &response.render()).is_err() {
                             owned.recorder().count("serve.write_error", 1);
                         }
+                        drop(superseded);
                     });
                 if spawned.is_err() {
                     state.recorder().count("serve.write_error", 1);
@@ -382,9 +385,12 @@ mod tests {
             ],
         );
         assert_eq!(replies.len(), 2);
-        assert!(replies[0].contains(r#""ok":true"#), "{}", replies[0]);
-        assert!(replies[0].contains(r#""id":1"#));
-        assert!(replies[1].contains(r#""id":2"#));
+        // Two workers may answer pipelined requests in either order; the
+        // `id` ties each reply to its request.
+        let by_id = |id: &str| replies.iter().find(|r| r.contains(id)).cloned();
+        let answer = by_id(r#""id":1"#).expect("reply to request 1");
+        assert!(answer.contains(r#""ok":true"#), "{answer}");
+        assert!(by_id(r#""id":2"#).is_some(), "{replies:?}");
     }
 
     #[test]

@@ -14,6 +14,17 @@
 //! **lock-free + io-free + spawn-free** by udi-audit's `hot-path-cert`
 //! pass (`audit.toml [effects]`), not just by convention.
 //!
+//! The clone is structural sharing (see `UdiSystem`'s `Clone`): tables and
+//! p-mapping cells are `Arc`s, so on the 10k-source scale corpus the clone
+//! takes ≈9 ms where a deep copy took ≈660 ms (`system.clone_ms`, 2-core
+//! host), and a publish there went from ≈530 ms to ≈90 ms. The replaced
+//! record is handed back as a [`Superseded`] instead of being dropped
+//! inside `mutate_tenant`: freeing the last reference to a snapshot still
+//! costs ≈10–15 ms there, and the mutation thread pays it after the reply
+//! is on the wire, outside every lock. Each publish records
+//! `serve.publish.{clone,apply,swap,release}` spans under its
+//! `serve.request`.
+//!
 //! [`handle`] is the dispatcher: it opens a `serve.request` span whose id is
 //! the per-request trace id, and [`execute_answer`] parents the library's
 //! `query.answer` span (and, through it, the per-source `query.source`
@@ -29,7 +40,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use udi_core::{Feedback, UdiSystem};
-use udi_obs::{CounterSink, Recorder};
+use udi_obs::{CounterSink, FanoutSink, Recorder, Sink, Span};
 
 use crate::json::Json;
 use crate::proto::{error_response, ok_response, render_answers, AnswerPath, Op, Request};
@@ -73,6 +84,28 @@ impl Tenant {
     }
 }
 
+/// A tenant record replaced by [`ServeState::mutate_tenant`], held so the
+/// caller chooses when it is freed. Dropping it releases the record —
+/// and, if no reader still holds that snapshot, frees the whole superseded
+/// system — under a `serve.publish.release` span. The TCP server drops it
+/// after the mutation's reply has been written; the request's
+/// `serve.request` span rides along and closes after the release, so the
+/// trace tree stays nested.
+#[derive(Debug)]
+#[must_use = "dropping a Superseded frees the replaced snapshot; hold it until that cost may be paid"]
+pub struct Superseded {
+    record: Option<Arc<Tenant>>,
+    request: Span,
+}
+
+impl Drop for Superseded {
+    fn drop(&mut self) {
+        let span = self.request.child("serve.publish.release");
+        self.record = None;
+        span.close();
+    }
+}
+
 /// Shared server state: the tenant map plus the serving-layer recorder.
 #[derive(Debug, Clone)]
 pub struct ServeState {
@@ -99,6 +132,19 @@ impl ServeState {
         }
     }
 
+    /// Fresh state whose recorder also feeds `sink`, so the serving spans
+    /// (`serve.request`, `serve.publish.*`) reach a trace; counters still
+    /// land in [`counters`](ServeState::counters) for the `stats` op.
+    pub fn with_sink(sink: Arc<dyn Sink>) -> ServeState {
+        let counters = Arc::new(CounterSink::new());
+        let recorder = Recorder::new(Arc::new(FanoutSink::new(vec![sink, counters.clone()])));
+        ServeState {
+            tenants: Arc::new(Mutex::new(BTreeMap::new())),
+            counters,
+            recorder,
+        }
+    }
+
     /// Registers (or replaces) a tenant serving `system`.
     pub fn register_tenant(&self, name: impl Into<String>, system: UdiSystem) {
         let tenant = Arc::new(Tenant::first(system));
@@ -110,21 +156,36 @@ impl ServeState {
 
     /// Clone-mutate-publish: run `apply` on a private clone of `name`'s
     /// current snapshot, then publish the result by replacing the whole
-    /// tenant record. Returns the published generation, or `None` for an
-    /// unknown tenant. Writers serialize on the tenant's gate; readers
-    /// keep answering on the old record throughout and are never blocked.
+    /// tenant record. Returns the published generation and the replaced
+    /// record, or `None` for an unknown tenant. Writers serialize on the
+    /// tenant's gate; readers keep answering on the old record throughout
+    /// and are never blocked.
+    ///
+    /// The replaced record leaves the tenant-map lock alive: dropping the
+    /// returned [`Superseded`] frees it (when no reader still holds it),
+    /// so the caller decides when that cost is paid. Each phase is a child
+    /// of the `request` span: `serve.publish.clone`, `serve.publish.apply`,
+    /// `serve.publish.swap`, and `serve.publish.release` when the
+    /// [`Superseded`] drops. The [`Superseded`] keeps `request` open until
+    /// then.
     pub fn mutate_tenant<E>(
         &self,
         name: &str,
+        request: Span,
         apply: impl FnOnce(&mut UdiSystem) -> Result<(), E>,
-    ) -> Option<Result<u64, E>> {
+    ) -> Option<Result<(u64, Superseded), E>> {
         let gate = Arc::clone(&self.tenant(name)?.gate);
         let _guard = gate.lock().unwrap_or_else(PoisonError::into_inner);
         // Re-read under the gate: another writer may have replaced the
         // record between our lookup and the lock.
         let current = self.tenant(name)?;
+        let span = request.child("serve.publish.clone");
         let mut next = (*current.system).clone();
-        if let Err(e) = apply(&mut next) {
+        span.close();
+        let span = request.child("serve.publish.apply");
+        let applied = apply(&mut next);
+        span.close();
+        if let Err(e) = applied {
             return Some(Err(e));
         }
         let generation = current.generation + 1;
@@ -133,11 +194,25 @@ impl ServeState {
             generation,
             gate: Arc::clone(&gate),
         });
-        self.tenants
+        let span = request.child("serve.publish.swap");
+        // The map's guard is a temporary of this statement: it is released
+        // here, while the replaced record moves out alive.
+        let replaced = self
+            .tenants
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(name.to_owned(), successor);
-        Some(Ok(generation))
+        span.close();
+        // `replaced` is `current` unless a concurrent `register_tenant`
+        // swapped the record; either way one handle suffices.
+        drop(current);
+        Some(Ok((
+            generation,
+            Superseded {
+                record: replaced,
+                request,
+            },
+        )))
     }
 
     /// Looks up a tenant by name.
@@ -162,7 +237,16 @@ impl ServeState {
 
 /// Dispatches one parsed request against the state, returning the response
 /// value. Opens the `serve.request` span whose id is the request's trace id.
+/// A mutation's superseded snapshot is freed before this returns; the TCP
+/// server frees it only after the reply is sent (see [`Superseded`]).
 pub fn handle(state: &ServeState, req: &Request) -> Json {
+    respond(state, req).0
+}
+
+/// [`handle`], but handing a mutation's replaced snapshot back instead of
+/// freeing it, so the caller can write the response first. The returned
+/// [`Superseded`] holds the `serve.request` span open until it drops.
+pub(crate) fn respond(state: &ServeState, req: &Request) -> (Json, Option<Superseded>) {
     let mut span = state.recorder.span("serve.request");
     span.field("op", req.op.name());
     span.field("tenant", req.tenant.clone());
@@ -171,13 +255,16 @@ pub fn handle(state: &ServeState, req: &Request) -> Json {
 
     let Some(tenant) = state.tenant(&req.tenant) else {
         state.recorder.count("serve.unknown_tenant", 1);
-        return error_response(req.id, &format!("unknown tenant `{}`", req.tenant));
+        return (
+            error_response(req.id, &format!("unknown tenant `{}`", req.tenant)),
+            None,
+        );
     };
 
     match req.op {
         Op::Prepare => {
             let Some(query) = req.query.as_deref() else {
-                return error_response(req.id, "missing query");
+                return (error_response(req.id, "missing query"), None);
             };
             let sys = tenant.snapshot();
             match udi_query::parse_query(query) {
@@ -188,14 +275,14 @@ pub fn handle(state: &ServeState, req: &Request) -> Json {
                         "plan_cache_len".to_owned(),
                         Json::Int(i64::try_from(sys.plan_cache_len()).unwrap_or(i64::MAX)),
                     );
-                    ok_response(req.id, sys.engine().generation(), extra)
+                    (ok_response(req.id, sys.engine().generation(), extra), None)
                 }
-                Err(e) => error_response(req.id, &e.to_string()),
+                Err(e) => (error_response(req.id, &e.to_string()), None),
             }
         }
         Op::Answer => {
             let Some(query) = req.query.as_deref() else {
-                return error_response(req.id, "missing query");
+                return (error_response(req.id, "missing query"), None);
             };
             let sys = tenant.snapshot();
             match execute_answer(&sys, req.path, query, trace) {
@@ -203,23 +290,17 @@ pub fn handle(state: &ServeState, req: &Request) -> Json {
                     let mut extra = BTreeMap::new();
                     extra.insert("answers".to_owned(), answers);
                     extra.insert("path".to_owned(), Json::Str(req.path.name().to_owned()));
-                    ok_response(req.id, sys.engine().generation(), extra)
+                    (ok_response(req.id, sys.engine().generation(), extra), None)
                 }
-                Err(e) => error_response(req.id, &e.to_string()),
+                Err(e) => (error_response(req.id, &e.to_string()), None),
             }
         }
         Op::AddSource => {
             let Some(table) = req.table.clone() else {
-                return error_response(req.id, "missing table");
+                return (error_response(req.id, "missing table"), None);
             };
-            match state.mutate_tenant(&req.tenant, |sys| sys.add_source(table)) {
-                Some(Ok(generation)) => {
-                    state.recorder.count("serve.refresh", 1);
-                    ok_response(req.id, generation, BTreeMap::new())
-                }
-                Some(Err(e)) => error_response(req.id, &e.to_string()),
-                None => error_response(req.id, &format!("unknown tenant `{}`", req.tenant)),
-            }
+            let outcome = state.mutate_tenant(&req.tenant, span, |sys| sys.add_source(table));
+            published(state, req, outcome)
         }
         Op::ApplyFeedback => {
             let mut fb = Feedback::new();
@@ -229,16 +310,32 @@ pub fn handle(state: &ServeState, req: &Request) -> Json {
             for (a, b) in &req.different {
                 fb.confirm_different(a, b);
             }
-            match state.mutate_tenant(&req.tenant, |sys| sys.apply_feedback(&fb)) {
-                Some(Ok(generation)) => {
-                    state.recorder.count("serve.refresh", 1);
-                    ok_response(req.id, generation, BTreeMap::new())
-                }
-                Some(Err(e)) => error_response(req.id, &e.to_string()),
-                None => error_response(req.id, &format!("unknown tenant `{}`", req.tenant)),
-            }
+            let outcome = state.mutate_tenant(&req.tenant, span, |sys| sys.apply_feedback(&fb));
+            published(state, req, outcome)
         }
-        Op::Stats => stats_response(state, &tenant, req.id),
+        Op::Stats => (stats_response(state, &tenant, req.id), None),
+    }
+}
+
+/// The response to a mutation's outcome, passing the superseded record on.
+fn published<E: std::fmt::Display>(
+    state: &ServeState,
+    req: &Request,
+    outcome: Option<Result<(u64, Superseded), E>>,
+) -> (Json, Option<Superseded>) {
+    match outcome {
+        Some(Ok((generation, superseded))) => {
+            state.recorder.count("serve.refresh", 1);
+            (
+                ok_response(req.id, generation, BTreeMap::new()),
+                Some(superseded),
+            )
+        }
+        Some(Err(e)) => (error_response(req.id, &e.to_string()), None),
+        None => (
+            error_response(req.id, &format!("unknown tenant `{}`", req.tenant)),
+            None,
+        ),
     }
 }
 
@@ -426,6 +523,54 @@ mod tests {
         assert_eq!(counters.get("serve.requests"), Some(&Json::Int(2)));
         let t = resp.get("tenant").unwrap();
         assert_eq!(t.get("sources"), Some(&Json::Int(2)));
+    }
+
+    #[test]
+    fn publish_hands_back_the_last_reference_outside_the_lock() {
+        let state = state_with_tenant();
+        let (generation, superseded) = state
+            .mutate_tenant("t0", state.recorder.span("test"), |sys| {
+                sys.add_source(Table::new("s3", ["name"]))
+            })
+            .unwrap()
+            .unwrap();
+        assert_eq!(generation, 2);
+        let old = superseded.record.as_ref().unwrap();
+        assert_eq!(old.generation(), 1);
+        assert_eq!(old.snapshot().catalog().source_count(), 2);
+        // Only the caller still holds the replaced record, so dropping it
+        // frees the snapshot — and the tenant map is not locked meanwhile.
+        assert_eq!(Arc::strong_count(old), 1);
+        assert!(state.tenants.try_lock().is_ok());
+        assert_eq!(state.tenant("t0").unwrap().generation(), 2);
+        drop(superseded);
+    }
+
+    #[test]
+    fn publish_spans_nest_under_the_request() {
+        let sink = Arc::new(udi_obs::MemorySink::new());
+        let state = ServeState::with_sink(sink.clone());
+        state.register_tenant("t0", people_system());
+        let req = parse_request(
+            r#"{"op":"add_source","tenant":"t0","table":{"name":"s3","attrs":["name"],"rows":[["Eve"]]}}"#,
+        )
+        .unwrap();
+        let resp = handle(&state, &req);
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+        let request = sink.spans_named("serve.request");
+        assert_eq!(request.len(), 1);
+        for name in [
+            "serve.publish.clone",
+            "serve.publish.apply",
+            "serve.publish.swap",
+            "serve.publish.release",
+        ] {
+            let spans = sink.spans_named(name);
+            assert_eq!(spans.len(), 1, "{name}");
+            assert_eq!(spans[0].parent, request[0].id, "{name}");
+        }
+        sink.verify_nesting().unwrap();
+        assert_eq!(state.counters().get("serve.refresh"), 1);
     }
 
     #[test]

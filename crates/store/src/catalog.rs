@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -33,10 +34,15 @@ impl std::fmt::Display for SourceId {
 /// whole catalog (shard boundaries are invisible to id-based lookups); the
 /// shard structure exists so that scans, artifact building, and incremental
 /// updates can operate on bounded, independently parallelizable slices.
+///
+/// `Clone` is structural sharing: shards (and, inside them, tables) sit
+/// behind `Arc`, so a clone copies one pointer per shard plus the global
+/// attribute counts. A later mutation copies only the shard it touches
+/// (`Arc::make_mut`), never a table; the original keeps every table it had.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(from = "CatalogRepr", into = "CatalogRepr")]
 pub struct Catalog {
-    shards: Vec<Shard>,
+    shards: Vec<Arc<Shard>>,
     shard_capacity: usize,
     /// attribute name → number of sources whose schema contains it
     /// (catalog-wide; each shard holds its own slice of the same stat).
@@ -78,11 +84,7 @@ impl From<CatalogRepr> for Catalog {
 impl From<Catalog> for CatalogRepr {
     fn from(c: Catalog) -> CatalogRepr {
         CatalogRepr {
-            sources: c
-                .shards
-                .into_iter()
-                .flat_map(|s| s.tables().to_vec())
-                .collect(),
+            sources: c.shards.iter().flat_map(|s| s.tables().cloned()).collect(),
             attr_source_counts: c.attr_source_counts,
         }
     }
@@ -149,10 +151,10 @@ impl Catalog {
             .last()
             .is_none_or(|s| s.len() >= self.shard_capacity);
         if needs_new {
-            self.shards.push(Shard::new());
+            self.shards.push(Arc::new(Shard::new()));
         }
         if let Some(last) = self.shards.last_mut() {
-            last.push(table);
+            Arc::make_mut(last).push(table);
         }
         Ok(id)
     }
@@ -161,7 +163,9 @@ impl Catalog {
     ///
     /// Later source ids shift down by one (ids are positional); attribute
     /// frequencies are updated in place, and a shard emptied by the removal
-    /// is dropped so shard ranges stay contiguous.
+    /// is dropped so shard ranges stay contiguous. Only the victim's shard
+    /// is copied if a clone still shares it, and the returned table is
+    /// copied only if a clone still holds it.
     /// `Err(StoreError::UnknownSourceName)` when no source has that name.
     pub fn remove_source(&mut self, name: &str) -> Result<Table, StoreError> {
         let (si, local) = self
@@ -170,7 +174,6 @@ impl Catalog {
             .enumerate()
             .find_map(|(si, s)| {
                 s.tables()
-                    .iter()
                     .position(|t| t.name() == name)
                     .map(|local| (si, local))
             })
@@ -178,7 +181,7 @@ impl Catalog {
         let Some(shard) = self.shards.get_mut(si) else {
             return Err(StoreError::UnknownSourceName(name.to_owned()));
         };
-        let table = shard.remove(local);
+        let table = Arc::unwrap_or_clone(Arc::make_mut(shard).remove(local));
         if shard.is_empty() {
             self.shards.remove(si);
         }
@@ -195,7 +198,7 @@ impl Catalog {
 
     /// Number of registered sources.
     pub fn source_count(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
     /// Number of shards.
@@ -204,13 +207,13 @@ impl Catalog {
     }
 
     /// The shards, in source-id order.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
+    pub fn shards(&self) -> impl ExactSizeIterator<Item = &Shard> {
+        self.shards.iter().map(|s| &**s)
     }
 
     /// Fetch a shard by index.
     pub fn shard(&self, idx: usize) -> Option<&Shard> {
-        self.shards.get(idx)
+        self.shards.get(idx).map(|s| &**s)
     }
 
     /// The contiguous source-id range covered by each shard, in order.
@@ -234,7 +237,7 @@ impl Catalog {
 
     /// Total number of rows across all sources.
     pub fn total_rows(&self) -> usize {
-        self.shards.iter().map(Shard::row_count).sum()
+        self.shards.iter().map(|s| s.row_count()).sum()
     }
 
     /// Fetch a source by id.
@@ -248,7 +251,7 @@ impl Catalog {
     pub fn iter_sources(&self) -> impl Iterator<Item = (SourceId, &Table)> {
         self.shards
             .iter()
-            .flat_map(|s| s.tables().iter())
+            .flat_map(|s| s.tables())
             .enumerate()
             .map(|(i, t)| (SourceId(i as u32), t))
     }
@@ -412,7 +415,7 @@ mod tests {
         c.add_source(Table::new("a", ["name", "phone"])).unwrap();
         c.add_source(Table::new("b", ["name"])).unwrap();
         c.add_source(Table::new("c", ["phone"])).unwrap();
-        let per_shard: usize = c.shards().iter().map(|s| s.attribute_count("phone")).sum();
+        let per_shard: usize = c.shards().map(|s| s.attribute_count("phone")).sum();
         assert_eq!(per_shard, 2);
         assert_eq!(c.shard(0).unwrap().attribute_count("name"), 2);
         assert_eq!(c.shard(1).unwrap().attribute_count("name"), 0);

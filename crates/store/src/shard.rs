@@ -10,15 +10,20 @@
 //!
 //! Shards are an in-memory layout detail: the catalog still serializes as
 //! a flat source list, and source ids remain positional across shards.
+//!
+//! Tables are held behind `Arc`, so cloning a shard copies pointers, not
+//! cells: a catalog snapshot and its clone share every table until one of
+//! them drops it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::Table;
 
 /// A contiguous run of source tables plus its local attribute statistics.
 #[derive(Debug, Clone, Default)]
 pub struct Shard {
-    tables: Vec<Table>,
+    tables: Vec<Arc<Table>>,
     /// attribute name → number of tables *in this shard* containing it.
     attr_counts: BTreeMap<String, usize>,
 }
@@ -40,18 +45,18 @@ impl Shard {
     }
 
     /// The tables of this shard, in insertion order.
-    pub fn tables(&self) -> &[Table] {
-        &self.tables
+    pub fn tables(&self) -> impl ExactSizeIterator<Item = &Table> {
+        self.tables.iter().map(|t| &**t)
     }
 
     /// Fetch a table by shard-local index.
     pub fn table(&self, local: usize) -> Option<&Table> {
-        self.tables.get(local)
+        self.tables.get(local).map(|t| &**t)
     }
 
     /// Total rows across the shard's tables.
     pub fn row_count(&self) -> usize {
-        self.tables.iter().map(Table::row_count).sum()
+        self.tables().map(Table::row_count).sum()
     }
 
     /// Number of shard-local sources whose schema contains `attribute`.
@@ -69,12 +74,13 @@ impl Shard {
         for a in table.attributes() {
             *self.attr_counts.entry(a.clone()).or_insert(0) += 1;
         }
-        self.tables.push(table);
+        self.tables.push(Arc::new(table));
     }
 
     /// Remove the table at `local`, updating the local statistics. Later
-    /// shard-local indices shift down by one.
-    pub(crate) fn remove(&mut self, local: usize) -> Table {
+    /// shard-local indices shift down by one. The table comes back as the
+    /// shared handle: a snapshot cloned before the removal still holds it.
+    pub(crate) fn remove(&mut self, local: usize) -> Arc<Table> {
         let table = self.tables.remove(local);
         for a in table.attributes() {
             if let Some(c) = self.attr_counts.get_mut(a) {
